@@ -8,6 +8,7 @@
 
 use core::any::Any;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use dice_netsim::{Node, NodeApi, NodeId, SessionEvent, SimDuration};
 use serde::{Deserialize, Serialize};
@@ -56,9 +57,16 @@ pub struct RouterStats {
 }
 
 /// A BIRD-like BGP router node.
+///
+/// The configuration is shared, not owned: cloning a router (a checkpoint,
+/// or a validation clone's first write to it) bumps a reference count
+/// instead of copying neighbors and policies. Message handling only reads
+/// the configuration; operator actions copy it on write
+/// ([`Arc::make_mut`]), so a change on one copy never shows through
+/// another.
 #[derive(Debug, Clone)]
 pub struct BgpRouter {
-    config: RouterConfig,
+    config: Arc<RouterConfig>,
     fsms: std::collections::BTreeMap<u32, PeerFsm>,
     peer_router_ids: std::collections::BTreeMap<u32, u32>,
     adj_in: AdjRibIn,
@@ -72,7 +80,7 @@ impl BgpRouter {
     pub fn new(config: RouterConfig) -> Self {
         config.validate().expect("invalid router config");
         BgpRouter {
-            config,
+            config: Arc::new(config),
             fsms: Default::default(),
             peer_router_ids: Default::default(),
             adj_in: AdjRibIn::default(),
@@ -132,11 +140,12 @@ impl BgpRouter {
     /// prefix is also added to the owned set; a hijack is announcing without
     /// owning.
     pub fn announce_network(&mut self, prefix: Ipv4Net, legitimate: bool, api: &mut NodeApi<'_>) {
-        if !self.config.networks.contains(&prefix) {
-            self.config.networks.push(prefix);
+        let config = Arc::make_mut(&mut self.config);
+        if !config.networks.contains(&prefix) {
+            config.networks.push(prefix);
         }
-        if legitimate && !self.config.owned.contains(&prefix) {
-            self.config.owned.push(prefix);
+        if legitimate && !config.owned.contains(&prefix) {
+            config.owned.push(prefix);
         }
         api.trace(
             "config",
@@ -147,7 +156,9 @@ impl BgpRouter {
 
     /// Operator action: stop originating `prefix`.
     pub fn withdraw_network(&mut self, prefix: Ipv4Net, api: &mut NodeApi<'_>) {
-        self.config.networks.retain(|n| n != &prefix);
+        Arc::make_mut(&mut self.config)
+            .networks
+            .retain(|n| n != &prefix);
         api.trace("config", format!("withdraw {prefix}"));
         self.recompute_and_propagate(prefix, api);
     }
@@ -157,7 +168,9 @@ impl BgpRouter {
     /// as with a hard clear on real routers).
     pub fn replace_policy(&mut self, policy: crate::policy::Policy, api: &mut NodeApi<'_>) {
         api.trace("config", format!("replace policy {}", policy.name));
-        self.config.policies.insert(policy.name.clone(), policy);
+        Arc::make_mut(&mut self.config)
+            .policies
+            .insert(policy.name.clone(), policy);
     }
 
     // ------------------------------------------------------------------
@@ -227,8 +240,11 @@ impl BgpRouter {
 
     fn handle_update(&mut self, peer: NodeId, upd: UpdateMsg, api: &mut NodeApi<'_>) {
         self.stats.updates_rx += 1;
-        let neighbor = match self.config.neighbor(peer) {
-            Some(n) => n.clone(),
+        // Borrow the neighbor and its policy through a handle on the shared
+        // config, which stays valid while `self` is mutated below.
+        let config = Arc::clone(&self.config);
+        let neighbor = match config.neighbor(peer) {
+            Some(n) => n,
             None => return,
         };
         let mut affected: BTreeSet<Ipv4Net> = BTreeSet::new();
@@ -245,7 +261,7 @@ impl BgpRouter {
                     api.crash("seeded bug: unknown-attribute length overflow in update handler");
                     return;
                 }
-                if attrs.as_path.contains(self.config.asn) {
+                if attrs.as_path.contains(config.asn) {
                     // AS-path loop: ignore the announcements (RFC 4271 §9).
                     self.stats.loop_rejects += 1;
                 } else if attrs.as_path.first_asn() != Some(neighbor.asn) {
@@ -259,10 +275,10 @@ impl BgpRouter {
                     );
                     return;
                 } else {
-                    let import = self.config.policies[&neighbor.import].clone();
+                    let import = &config.policies[&neighbor.import];
                     let peer_rid = self.peer_router_ids.get(&peer.0).copied().unwrap_or(peer.0);
                     for p in &upd.nlri {
-                        match import.apply(p, attrs, self.config.asn) {
+                        match import.apply(p, attrs, config.asn) {
                             Some(imported) => {
                                 self.adj_in.insert(
                                     peer,
@@ -367,19 +383,20 @@ impl BgpRouter {
             }
             return;
         }
-        let neighbor = match self.config.neighbor(q) {
-            Some(n) => n.clone(),
+        let config = Arc::clone(&self.config);
+        let neighbor = match config.neighbor(q) {
+            Some(n) => n,
             None => return,
         };
-        let export = self.config.policies[&neighbor.export].clone();
-        match export.apply(&prefix, &route.attrs, self.config.asn) {
+        let export = &config.policies[&neighbor.export];
+        match export.apply(&prefix, &route.attrs, config.asn) {
             Some(mut out) => {
                 // eBGP rewrite: prepend own AS, next-hop self, strip
                 // LOCAL_PREF and internal (own-ASN) communities.
-                out.as_path.prepend(self.config.asn, 1);
+                out.as_path.prepend(config.asn, 1);
                 out.next_hop = self.own_addr();
                 out.local_pref = None;
-                let own = self.config.asn.0;
+                let own = config.asn.0;
                 out.communities = out
                     .communities
                     .iter()
@@ -426,7 +443,8 @@ impl BgpRouter {
 
 impl Node for BgpRouter {
     fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        for prefix in self.config.networks.clone() {
+        let config = Arc::clone(&self.config);
+        for &prefix in &config.networks {
             let route = Route::local(PathAttrs::originated(self.own_addr()));
             self.loc_rib.install(
                 prefix,
@@ -485,8 +503,8 @@ impl Node for BgpRouter {
     }
 
     fn on_message(&mut self, from: NodeId, data: &[u8], api: &mut NodeApi<'_>) {
-        let neighbor = match self.config.neighbor(from) {
-            Some(n) => n.clone(),
+        let neighbor_asn = match self.config.neighbor(from) {
+            Some(n) => n.asn,
             None => return,
         };
         let msg = match wire::decode(data) {
@@ -509,7 +527,7 @@ impl Node for BgpRouter {
         }
         match msg {
             Message::Open(open) => {
-                let asn_ok = open.asn == neighbor.asn;
+                let asn_ok = open.asn == neighbor_asn;
                 let my_hold = self.config.hold_time;
                 let fsm = self.fsms.entry(from.0).or_default();
                 match fsm.on_open(asn_ok, my_hold, open.hold_time) {

@@ -150,6 +150,56 @@ mod tests {
         assert_eq!(sim.trace().stats(), live_stats_before);
     }
 
+    /// The networks router `n` of `sim` originates, per its config.
+    fn networks(sim: &Simulator, n: u32) -> Vec<dice_bgp::Ipv4Net> {
+        let r = crate::bgp_sut::as_bgp(sim.node(NodeId(n))).unwrap();
+        r.config().networks.clone()
+    }
+
+    /// The networks router `n` originates in the checkpoint `shadow` holds.
+    fn shadow_networks(shadow: &ShadowSnapshot, n: u32) -> Vec<dice_bgp::Ipv4Net> {
+        let r = crate::bgp_sut::as_bgp(shadow.nodes()[&NodeId(n)].as_ref()).unwrap();
+        r.config().networks.clone()
+    }
+
+    fn announce(sim: &mut Simulator, n: u32, prefix: &str) {
+        sim.invoke_node(NodeId(n), |node, api| {
+            crate::bgp_sut::as_bgp_mut(node)
+                .unwrap()
+                .announce_network(net(prefix), true, api)
+        });
+    }
+
+    #[test]
+    fn shared_router_config_is_copied_on_write() {
+        // Live router, checkpoint and clone share one `RouterConfig` until
+        // an operator action writes to it; the write must stay on the copy
+        // it was made on.
+        let mut sim = bgp_sim();
+        sim.run_until(SimTime::from_nanos(8_000_000_000));
+        let (shadow, _) =
+            take_consistent_snapshot(&mut sim, NodeId(0), SimDuration::from_secs(5)).unwrap();
+        let before = networks(&sim, 2);
+        assert_eq!(shadow_networks(&shadow, 2), before);
+
+        // An announce on a clone leaves the live router and the shadow alone.
+        let mut clone = spawn_clone(&shadow, sim.topology(), 3);
+        announce(&mut clone, 2, "20.0.0.0/8");
+        assert!(networks(&clone, 2).contains(&net("20.0.0.0/8")));
+        assert_eq!(networks(&sim, 2), before);
+        assert_eq!(shadow_networks(&shadow, 2), before);
+
+        // An announce on the live system after the cut leaves the shadow
+        // alone, and a fresh clone of it starts from the old config.
+        announce(&mut sim, 2, "30.0.0.0/8");
+        assert!(networks(&sim, 2).contains(&net("30.0.0.0/8")));
+        assert_eq!(shadow_networks(&shadow, 2), before);
+        assert_eq!(
+            networks(&spawn_clone(&shadow, sim.topology(), 4), 2),
+            before
+        );
+    }
+
     #[test]
     fn instant_snapshot_has_zero_sim_cost() {
         let mut sim = bgp_sim();

@@ -31,13 +31,20 @@ impl SimRng {
     /// Children with distinct labels are statistically independent; the same
     /// label always yields the same child for a given parent state.
     pub fn split(&mut self, label: u64) -> SimRng {
+        SimRng::seed_from_u64(self.split_seed(label))
+    }
+
+    /// The seed [`SimRng::split`] would build its child from, without
+    /// building it. Consumes the same parent draw, so a caller can store
+    /// seeds in split order and build each child only when it is first
+    /// used, getting the stream `split` would have returned.
+    pub fn split_seed(&mut self, label: u64) -> u64 {
         let base = self.inner.next_u64();
         // SplitMix64-style finalizer to decorrelate label and base.
         let mut z = base ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        SimRng::seed_from_u64(z)
+        z ^ (z >> 31)
     }
 
     /// Next raw 64 random bits.
@@ -160,6 +167,20 @@ mod tests {
         for _ in 0..32 {
             assert_eq!(c1.next_u64(), c2.next_u64());
         }
+    }
+
+    #[test]
+    fn split_seed_builds_the_split_stream_and_draws_the_same_parent() {
+        let mut eager = SimRng::seed_from_u64(42);
+        let mut lazy = SimRng::seed_from_u64(42);
+        for label in [0, 5, u64::MAX] {
+            let mut child = eager.split(label);
+            let mut built = SimRng::seed_from_u64(lazy.split_seed(label));
+            for _ in 0..8 {
+                assert_eq!(child.next_u64(), built.next_u64());
+            }
+        }
+        assert_eq!(eager.next_u64(), lazy.next_u64(), "parents stay in step");
     }
 
     #[test]

@@ -11,7 +11,6 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use crate::buf::{BufPool, Payload, WireStats};
 use crate::fault::FaultAction;
 use crate::faults::{FaultVerdict, LinkFaultState, LinkFaults};
-use crate::link::LinkParams;
 use crate::node::{DownReason, Effect, Node, NodeApi, NodeId, SessionEvent};
 use crate::rng::SimRng;
 use crate::snapshot::{ShadowSnapshot, SnapshotId, SnapshotProgress, SnapshotState};
@@ -32,6 +31,33 @@ pub(crate) enum Frame {
 struct Flight {
     deliver_at: SimTime,
     frame: Frame,
+}
+
+/// The randomness of one link direction, built on the direction's first
+/// send from the child seeds drawn for it at construction or reset.
+struct LinkStreams {
+    latency: SimRng,
+    fault: SimRng,
+    /// Gilbert–Elliott burst state.
+    fault_state: LinkFaultState,
+}
+
+impl LinkStreams {
+    /// Build the streams of the `a -> b` (`forward`) or `b -> a` direction
+    /// of an edge from the edge's four child seeds (see
+    /// [`Simulator::draw_link_seeds`]).
+    fn new(seeds: &[u64; 4], forward: bool) -> Self {
+        let (latency, fault) = if forward {
+            (seeds[0], seeds[2])
+        } else {
+            (seeds[1], seeds[3])
+        };
+        LinkStreams {
+            latency: SimRng::seed_from_u64(latency),
+            fault: SimRng::seed_from_u64(fault),
+            fault_state: LinkFaultState::default(),
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -250,13 +276,14 @@ pub struct Simulator {
     channels: BTreeMap<(NodeId, NodeId), Channel>,
     sessions: BTreeMap<(NodeId, NodeId), SessionState>,
     admin_down: BTreeSet<(NodeId, NodeId)>,
-    link_rngs: BTreeMap<(NodeId, NodeId), SimRng>,
-    /// Channel-fidelity streams, one per link direction — seeded from a
-    /// *separate* parent than `link_rngs` so toggling `unreliable_links`
-    /// never perturbs latency sampling (and vice versa).
-    fault_rngs: BTreeMap<(NodeId, NodeId), SimRng>,
-    /// Per-direction Gilbert–Elliott burst state.
-    fault_state: BTreeMap<(NodeId, NodeId), LinkFaultState>,
+    /// Per edge, in topology order, the child seeds of its four link
+    /// streams (see [`Simulator::draw_link_seeds`]).
+    link_seeds: Vec<[u64; 4]>,
+    /// Per link direction (`2 * edge + 0` for `a -> b`, `+ 1` for
+    /// `b -> a`), the streams built on its first send since construction
+    /// or the last reset. A validation clone sends on a handful of links,
+    /// so it builds a handful of streams, not four per edge.
+    link_streams: Vec<Option<Box<LinkStreams>>>,
     trace: Trace,
     last_activity: SimTime,
     started: bool,
@@ -286,25 +313,16 @@ impl Simulator {
 
     /// Like [`Simulator::new`] with explicit configuration.
     pub fn with_config(topo: Topology, seed: u64, config: SimConfig) -> Self {
-        let mut rng = SimRng::seed_from_u64(seed);
-        let mut fault_parent = SimRng::seed_from_u64(seed ^ Self::FAULT_STREAM_SALT);
         let mut channels = BTreeMap::new();
         let mut sessions = BTreeMap::new();
-        let mut link_rngs = BTreeMap::new();
-        let mut fault_rngs = BTreeMap::new();
-        let mut fault_state = BTreeMap::new();
         for e in topo.edges() {
             channels.insert((e.a, e.b), Channel::default());
             channels.insert((e.b, e.a), Channel::default());
             sessions.insert(Self::skey(e.a, e.b), SessionState::Down);
-            let label = ((e.a.0 as u64) << 32) | e.b.0 as u64;
-            link_rngs.insert((e.a, e.b), rng.split(label));
-            link_rngs.insert((e.b, e.a), rng.split(label ^ 0xFFFF_FFFF));
-            fault_rngs.insert((e.a, e.b), fault_parent.split(label));
-            fault_rngs.insert((e.b, e.a), fault_parent.split(label ^ 0xFFFF_FFFF));
-            fault_state.insert((e.a, e.b), LinkFaultState::default());
-            fault_state.insert((e.b, e.a), LinkFaultState::default());
         }
+        let mut link_seeds = Vec::new();
+        Self::draw_link_seeds(&topo, seed, &mut link_seeds);
+        let link_streams = (0..2 * link_seeds.len()).map(|_| None).collect();
         let nodes: Vec<NodeSlot> = (0..topo.len())
             .map(|_| NodeSlot {
                 node: NodeState::Empty,
@@ -323,9 +341,8 @@ impl Simulator {
             channels,
             sessions,
             admin_down: BTreeSet::new(),
-            link_rngs,
-            fault_rngs,
-            fault_state,
+            link_seeds,
+            link_streams,
             last_activity: SimTime::ZERO,
             started: false,
             pristine: BTreeMap::new(),
@@ -378,6 +395,29 @@ impl Simulator {
     /// latency RNG parent (both are split per link direction, in edge
     /// order, with the same labels).
     const FAULT_STREAM_SALT: u64 = 0x5EED_FA17;
+
+    /// Draw the child seeds of every link stream into `out`, one entry
+    /// per edge in topology order: latency `a -> b`, latency `b -> a`,
+    /// fault `a -> b`, fault `b -> a`. The latency parent is seeded with
+    /// `seed` and the fault parent with `seed ^ FAULT_STREAM_SALT`, so
+    /// toggling `unreliable_links` never perturbs latency sampling. Each
+    /// parent is drawn in the same order eager [`SimRng::split`] calls
+    /// would draw it, so a stream built from its seed on first use is the
+    /// stream `split` would have returned.
+    fn draw_link_seeds(topo: &Topology, seed: u64, out: &mut Vec<[u64; 4]>) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut fault_parent = SimRng::seed_from_u64(seed ^ Self::FAULT_STREAM_SALT);
+        out.clear();
+        out.extend(topo.edges().iter().map(|e| {
+            let label = ((e.a.0 as u64) << 32) | e.b.0 as u64;
+            [
+                rng.split_seed(label),
+                rng.split_seed(label ^ 0xFFFF_FFFF),
+                fault_parent.split_seed(label),
+                fault_parent.split_seed(label ^ 0xFFFF_FFFF),
+            ]
+        }));
+    }
 
     /// Toggle the channel-fidelity layer on an existing simulator (clone
     /// pools apply this right after [`Simulator::reset_from_shadow`],
@@ -780,10 +820,6 @@ impl Simulator {
     // Channels and sessions
     // ------------------------------------------------------------------
 
-    fn link_params(&self, a: NodeId, b: NodeId) -> Option<&LinkParams> {
-        self.topo.edge_between(a, b).map(|e| &e.params)
-    }
-
     fn channel_send(&mut self, src: NodeId, dst: NodeId, bytes: Payload, quiet: bool) {
         if !self.session_up(src, dst) {
             // Session down: transport rejects the write, data is lost (the
@@ -806,15 +842,18 @@ impl Simulator {
             self.wire.wire_bytes += size as u64;
         }
         let quietness = matches!(&frame, Frame::Data { quiet: true, .. } | Frame::Marker(_));
-        let params = self
-            .link_params(src, dst)
-            .cloned()
+        let idx = self
+            .topo
+            .edge_index(src, dst)
             .expect("send on non-adjacent pair");
-        let rng = self
-            .link_rngs
-            .get_mut(&(src, dst))
-            .expect("missing link rng");
-        let (delay, retries) = params.delay_and_retries_for(size, rng);
+        let edge = &self.topo.edges()[idx];
+        let forward = edge.a == src;
+        let seeds = &self.link_seeds[idx];
+        let streams = self.link_streams[2 * idx + usize::from(!forward)]
+            .get_or_insert_with(|| Box::new(LinkStreams::new(seeds, forward)));
+        let (delay, retries) = edge
+            .params
+            .delay_and_retries_for(size, &mut streams.latency);
         self.wire.link_retransmits += retries as u64;
         // Channel-fidelity layer: sample the per-link fault model for data
         // frames. Markers are exempt, and sampling is suspended while a
@@ -827,16 +866,9 @@ impl Simulator {
             && self.snapshots.is_empty()
             && !self.config.link_faults.is_noop();
         let verdict = if faulty {
-            let faults = self.config.link_faults;
-            let frng = self
-                .fault_rngs
-                .get_mut(&(src, dst))
-                .expect("missing fault rng");
-            let fstate = self
-                .fault_state
-                .get_mut(&(src, dst))
-                .expect("missing fault state");
-            faults.sample(fstate, frng)
+            self.config
+                .link_faults
+                .sample(&mut streams.fault_state, &mut streams.fault)
         } else {
             FaultVerdict::default()
         };
@@ -1116,39 +1148,42 @@ impl Simulator {
         let id = SnapshotId(self.next_snapshot);
         self.next_snapshot += 1;
 
-        // Scope: the session-connected component of the initiator.
-        let mut member = BTreeSet::new();
-        let mut stack = vec![initiator];
-        member.insert(initiator);
-        while let Some(n) = stack.pop() {
-            for m in self.topo.neighbors(n) {
-                if self.session_up(n, m) && member.insert(m) {
-                    stack.push(m);
-                }
-            }
-        }
-        let mut chans = BTreeSet::new();
-        for &n in &member {
-            for m in self.topo.neighbors(n) {
-                if member.contains(&m) && self.session_up(n, m) {
-                    chans.insert((n, m));
-                    chans.insert((m, n));
-                }
-            }
-        }
+        // Scope: the session-connected component of the initiator, searched
+        // over an adjacency of the up sessions built in one pass.
         let sessions_up: Vec<(NodeId, NodeId)> = self
             .sessions
             .iter()
             .filter(|(_, s)| **s == SessionState::Up)
             .map(|(k, _)| *k)
             .collect();
-        let mut st = SnapshotState::new(id, initiator, member, chans, sessions_up, self.now);
+        let mut up_adj: Vec<Vec<NodeId>> = vec![Vec::new(); self.nodes.len()];
+        for &(a, b) in &sessions_up {
+            up_adj[a.index()].push(b);
+            up_adj[b.index()].push(a);
+        }
+        let mut member = BTreeSet::new();
+        let mut stack = vec![initiator];
+        member.insert(initiator);
+        while let Some(n) = stack.pop() {
+            for &m in &up_adj[n.index()] {
+                if member.insert(m) {
+                    stack.push(m);
+                }
+            }
+        }
+        // Both directions of every up session inside the scope.
+        let chans: BTreeSet<(NodeId, NodeId)> = sessions_up
+            .iter()
+            .filter(|(a, _)| member.contains(a))
+            .flat_map(|&(a, b)| [(a, b), (b, a)])
+            .collect();
+        let mut st = SnapshotState::new(member, chans, sessions_up, self.now);
 
         // Record the initiator immediately and emit markers on its outgoing
         // channels.
         let init_clone = self.checkpoint_node(initiator).expect("initiator missing");
         st.record_node(initiator, init_clone);
-        let outgoing: Vec<NodeId> = st.outgoing_of(initiator);
+        let outgoing: Vec<NodeId> = st.outgoing_of(initiator).to_vec();
         self.snapshots.insert(id, st);
         for m in outgoing {
             self.trace.push(
@@ -1186,7 +1221,7 @@ impl Simulator {
             };
             st.record_node(dst, clone);
             st.channel_done_empty(src, dst);
-            let outgoing = st.outgoing_of(dst);
+            let outgoing = st.outgoing_of(dst).to_vec();
             for m in outgoing {
                 self.trace.push(
                     self.now,
@@ -1311,24 +1346,12 @@ impl Simulator {
                 .all(|id| id.index() < self.nodes.len()),
             "shadow does not match the simulator's topology"
         );
-        // Reseed the per-link randomness streams exactly as construction
-        // does: one parent stream split twice per edge, in edge order —
-        // and likewise for the channel-fidelity streams from their salted
-        // parent, with the burst state returned to good.
-        let mut rng = SimRng::seed_from_u64(seed);
-        let mut fault_parent = SimRng::seed_from_u64(seed ^ Self::FAULT_STREAM_SALT);
-        for e in self.topo.edges() {
-            let label = ((e.a.0 as u64) << 32) | e.b.0 as u64;
-            self.link_rngs.insert((e.a, e.b), rng.split(label));
-            self.link_rngs
-                .insert((e.b, e.a), rng.split(label ^ 0xFFFF_FFFF));
-            self.fault_rngs
-                .insert((e.a, e.b), fault_parent.split(label));
-            self.fault_rngs
-                .insert((e.b, e.a), fault_parent.split(label ^ 0xFFFF_FFFF));
-        }
-        for s in self.fault_state.values_mut() {
-            *s = LinkFaultState::default();
+        // Redraw the per-link child seeds exactly as construction does and
+        // drop the streams built from the old ones: each link rebuilds its
+        // streams, with the burst state back to good, on its first send.
+        Self::draw_link_seeds(&self.topo, seed, &mut self.link_seeds);
+        for s in &mut self.link_streams {
+            *s = None;
         }
         // Channel structures survive; their contents do not.
         for ch in self.channels.values_mut() {

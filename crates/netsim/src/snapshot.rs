@@ -26,13 +26,18 @@ pub enum SnapshotProgress {
 }
 
 /// Chandy–Lamport bookkeeping for one snapshot.
+///
+/// Per-node channel lists are built once, at initiation, so marking a
+/// node costs its degree and a whole cut O(E) bookkeeping.
 pub(crate) struct SnapshotState {
-    id: SnapshotId,
-    #[allow(dead_code)]
-    initiator: NodeId,
     members: BTreeSet<NodeId>,
     /// Directed channels that must be drained by a marker.
     channels: BTreeSet<(NodeId, NodeId)>,
+    /// Per node, the sources of its incoming member channels, sorted.
+    incoming: BTreeMap<NodeId, Vec<NodeId>>,
+    /// Per node, the destinations of its outgoing member channels, sorted
+    /// (the marker fan-out order).
+    outgoing: BTreeMap<NodeId, Vec<NodeId>>,
     /// Channels whose marker has arrived.
     done: BTreeSet<(NodeId, NodeId)>,
     /// Recorded node checkpoints, shared copy-on-write with any clones
@@ -46,21 +51,26 @@ pub(crate) struct SnapshotState {
     complete: bool,
 }
 
-#[allow(dead_code)]
 impl SnapshotState {
     pub(crate) fn new(
-        id: SnapshotId,
-        initiator: NodeId,
         members: BTreeSet<NodeId>,
         channels: BTreeSet<(NodeId, NodeId)>,
         sessions_up: Vec<(NodeId, NodeId)>,
         started_at: SimTime,
     ) -> Self {
+        // `channels` iterates in `(src, dst)` order, so every list comes
+        // out sorted by peer without a sort.
+        let mut incoming: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+        let mut outgoing: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+        for &(src, dst) in &channels {
+            outgoing.entry(src).or_default().push(dst);
+            incoming.entry(dst).or_default().push(src);
+        }
         SnapshotState {
-            id,
-            initiator,
             members,
             channels,
+            incoming,
+            outgoing,
             done: BTreeSet::new(),
             nodes: BTreeMap::new(),
             recorded: BTreeMap::new(),
@@ -71,10 +81,6 @@ impl SnapshotState {
         }
     }
 
-    pub(crate) fn id(&self) -> SnapshotId {
-        self.id
-    }
-
     pub(crate) fn is_marked(&self, n: NodeId) -> bool {
         self.nodes.contains_key(&n)
     }
@@ -82,24 +88,15 @@ impl SnapshotState {
     pub(crate) fn record_node(&mut self, n: NodeId, state: Arc<dyn Node>) {
         self.nodes.insert(n, state);
         // Start recording every incoming member channel of n.
-        let incoming: Vec<(NodeId, NodeId)> = self
-            .channels
-            .iter()
-            .filter(|(_, dst)| *dst == n)
-            .copied()
-            .collect();
-        for c in incoming {
-            self.recorded.entry(c).or_default();
+        for &src in self.incoming.get(&n).map_or(&[][..], Vec::as_slice) {
+            self.recorded.entry((src, n)).or_default();
         }
     }
 
-    /// Outgoing member channels of `n` (marker fan-out set).
-    pub(crate) fn outgoing_of(&self, n: NodeId) -> Vec<NodeId> {
-        self.channels
-            .iter()
-            .filter(|(src, _)| *src == n)
-            .map(|(_, dst)| *dst)
-            .collect()
+    /// Outgoing member channels of `n` (marker fan-out set), sorted by
+    /// destination.
+    pub(crate) fn outgoing_of(&self, n: NodeId) -> &[NodeId] {
+        self.outgoing.get(&n).map_or(&[], Vec::as_slice)
     }
 
     /// Marker arrived on `src -> dst` and `dst` was just recorded: channel
@@ -381,6 +378,62 @@ mod tests {
         }
         sim.start();
         sim
+    }
+
+    #[test]
+    fn marker_bookkeeping_opens_incoming_channels_and_fans_out_sorted() {
+        // Ring 0-1-2-3-0. The closing edge is added as 3-0, so node 3's
+        // neighbors in topology order are [2, 0]: fan-out must be sorted.
+        let ring = Topology::ring(4, LinkParams::fixed(SimDuration::from_millis(10)));
+        let n = NodeId;
+        assert_eq!(ring.neighbors(n(3)), [n(2), n(0)]);
+        let channels: BTreeSet<(NodeId, NodeId)> = ring
+            .edges()
+            .iter()
+            .flat_map(|e| [(e.a, e.b), (e.b, e.a)])
+            .collect();
+        let mut st = SnapshotState::new(
+            ring.node_ids().collect(),
+            channels.clone(),
+            Vec::new(),
+            SimTime::ZERO,
+        );
+        assert_eq!(st.outgoing_of(n(3)), [n(0), n(2)]);
+        assert_eq!(st.outgoing_of(n(0)), [n(1), n(3)]);
+
+        // A frame delivered before its destination is marked is node state,
+        // not channel state.
+        let acc = || -> Arc<dyn Node> { Arc::new(Acc::default()) };
+        st.observe(n(1), n(2), &[7]);
+        assert!(st.recorded.is_empty());
+
+        // Marking node 2 opens exactly its incoming channels.
+        st.record_node(n(2), acc());
+        let open: Vec<_> = st.recorded.keys().copied().collect();
+        assert_eq!(open, [(n(1), n(2)), (n(3), n(2))]);
+
+        // Frames in flight on an open channel are recorded until its marker
+        // arrives; frames toward unmarked nodes are not.
+        st.observe(n(1), n(2), &[8]);
+        st.observe(n(2), n(3), &[9]);
+        st.channel_done_recorded(n(1), n(2));
+        st.observe(n(1), n(2), &[10]);
+
+        // Finish the cut: every other node is marked by its first marker.
+        for (first, node) in [(n(2), n(3)), (n(3), n(0)), (n(0), n(1))] {
+            st.record_node(node, acc());
+            st.channel_done_empty(first, node);
+        }
+        for &(src, dst) in &channels {
+            if !st.done.contains(&(src, dst)) {
+                st.channel_done_recorded(src, dst);
+            }
+        }
+        assert!(st.all_done());
+        st.complete();
+        let shadow = st.into_shadow();
+        assert_eq!(shadow.in_flight(), [(n(1), n(2), vec![vec![8]])]);
+        assert_eq!(shadow.node_count(), 4);
     }
 
     #[test]

@@ -103,16 +103,22 @@ impl Topology {
 
     /// The edge connecting `a` and `b` (either orientation), if any.
     pub fn edge_between(&self, a: NodeId, b: NodeId) -> Option<&EdgeSpec> {
+        self.edge_index(a, b).map(|i| &self.edges[i])
+    }
+
+    /// Index into [`Topology::edges`] of the edge connecting `a` and `b`
+    /// (either orientation), if any.
+    pub fn edge_index(&self, a: NodeId, b: NodeId) -> Option<usize> {
         // Scan the sparser endpoint's incidence list.
         let (n, m) = if self.adj[a.index()].len() <= self.adj[b.index()].len() {
             (a, b)
         } else {
             (b, a)
         };
-        self.adj[n.index()]
-            .iter()
-            .map(|&i| &self.edges[i as usize])
-            .find(|e| (e.a == n && e.b == m) || (e.a == m && e.b == n))
+        self.adj[n.index()].iter().map(|&i| i as usize).find(|&i| {
+            let e = &self.edges[i];
+            (e.a == n && e.b == m) || (e.a == m && e.b == n)
+        })
     }
 
     /// Neighbors of `n`, in deterministic (insertion) order.
