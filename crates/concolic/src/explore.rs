@@ -12,7 +12,9 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use serde::{Deserialize, Serialize};
 
 use crate::ctx::{BranchRec, ConcolicCtx, SymInput};
-use crate::solve::{negation_query, SolveResult, Solver, SolverBudget, SolverStats};
+use crate::solve::{
+    taken_constraints, with_negation_query, SolveResult, Solver, SolverBudget, SolverStats,
+};
 
 /// Outcome of one program execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -336,12 +338,20 @@ pub fn explore(
         // Per-constraint memo keys for the as-taken prefix (the negated
         // constraint's key is derived per flip below). Only the memo
         // consumes these, so the cache-off ablation skips them.
-        let taken_keys: Vec<u64> = if config.solver_cache {
+        let mut taken_keys: Vec<u64> = if config.solver_cache {
             path.iter()
                 .map(|rec| key_of(node_hash[rec.constraint.0 as usize], rec.taken))
                 .collect()
         } else {
             Vec::new()
+        };
+        // The as-taken path; each negation query is posed in place in it.
+        let mut taken = taken_constraints(&path);
+        let seed_fn = |idx: u32| -> u8 {
+            match item.bytes.get(idx as usize) {
+                Some(&b) => b,
+                None => item.oracles.get(&idx).copied().unwrap_or(0),
+            }
         };
         let mut prefix_hash: u64 = 0xD1CE_0000_5EED_0001;
         let mut sites_seen: HashSet<u32> = HashSet::new();
@@ -376,23 +386,23 @@ pub fn explore(
                     // either way, skip the solver.
                     solver.stats.cache_hits += 1;
                 } else {
-                    let q = negation_query(&path, i);
-                    let seed_bytes = item.bytes.clone();
-                    let seed_oracles = item.oracles.clone();
-                    let seed_fn = move |idx: u32| -> u8 {
-                        if (idx as usize) < seed_bytes.len() {
-                            seed_bytes[idx as usize]
+                    let outcome = with_negation_query(&mut taken, i, |q| {
+                        if config.solver_cache {
+                            let taken_key =
+                                std::mem::replace(&mut taken_keys[i], key_of(rec_hash, !rec.taken));
+                            let outcome = solver.solve_memo(
+                                ctx.arena(),
+                                q,
+                                &seed_fn,
+                                &taken_keys[..=i],
+                                &mut memo,
+                            );
+                            taken_keys[i] = taken_key;
+                            outcome
                         } else {
-                            seed_oracles.get(&idx).copied().unwrap_or(0)
+                            solver.solve(ctx.arena(), q, &seed_fn)
                         }
-                    };
-                    let outcome = if config.solver_cache {
-                        let mut chashes = taken_keys[..i].to_vec();
-                        chashes.push(key_of(rec_hash, !rec.taken));
-                        solver.solve_memo(ctx.arena(), &q, &seed_fn, &chashes, &mut memo)
-                    } else {
-                        solver.solve(ctx.arena(), &q, &seed_fn)
-                    };
+                    });
                     // Only *answered* queries count as dispatched: an
                     // Unknown (budget-exhausted) query produced no child,
                     // and a later seed-biased retry of the same structure

@@ -194,7 +194,7 @@ impl ExprArena {
     pub fn not(&mut self, a: ExprId) -> ExprId {
         match self.get(a) {
             Expr::Not(inner) => inner,
-            Expr::Const { val, .. } => self.constant(1, (val == 0) as u64),
+            Expr::Const { val, .. } => self.constant(1, eval_not(val)),
             _ => self.intern(Expr::Not(a)),
         }
     }
@@ -204,18 +204,18 @@ impl ExprArena {
         if let (Expr::Const { val: va, .. }, Expr::Const { val: vb, .. }) =
             (self.get(a), self.get(b))
         {
-            let t = match op {
-                BoolOp::And => va != 0 && vb != 0,
-                BoolOp::Or => va != 0 || vb != 0,
-            };
-            return self.constant(1, t as u64);
+            return self.constant(1, eval_bool(op, va, vb));
         }
         self.intern(Expr::Bool { op, a, b })
     }
 
     /// Evaluate `id` under an assignment of input bytes. Returns `None`
-    /// when a referenced input byte is unassigned.
-    pub fn eval(&self, id: ExprId, lookup: &dyn Fn(u32) -> Option<u64>) -> Option<u64> {
+    /// when a referenced input byte is unassigned. Generic over the
+    /// lookup so hot callers' closures inline; `&dyn Fn` works too.
+    pub fn eval<F>(&self, id: ExprId, lookup: &F) -> Option<u64>
+    where
+        F: Fn(u32) -> Option<u64> + ?Sized,
+    {
         match self.get(id) {
             Expr::Const { val, .. } => Some(val),
             Expr::Input { idx } => lookup(idx),
@@ -230,7 +230,7 @@ impl ExprArena {
                 let vb = self.eval(b, lookup)?;
                 Some(eval_cmp(op, va, vb) as u64)
             }
-            Expr::Not(a) => Some((self.eval(a, lookup)? == 0) as u64),
+            Expr::Not(a) => Some(eval_not(self.eval(a, lookup)?)),
             Expr::Bool { op, a, b } => {
                 // Short-circuit so partially-assigned inputs still decide
                 // when one side is conclusive.
@@ -240,14 +240,79 @@ impl ExprArena {
                     (BoolOp::And, Some(0), _) | (BoolOp::And, _, Some(0)) => Some(0),
                     (BoolOp::Or, Some(x), _) if x != 0 => Some(1),
                     (BoolOp::Or, _, Some(x)) if x != 0 => Some(1),
-                    (_, Some(x), Some(y)) => Some(match op {
-                        BoolOp::And => ((x != 0) && (y != 0)) as u64,
-                        BoolOp::Or => ((x != 0) || (y != 0)) as u64,
-                    }),
+                    (_, Some(x), Some(y)) => Some(eval_bool(op, x, y)),
                     _ => None,
                 }
             }
         }
+    }
+
+    /// Evaluate `id` at all 256 values of input byte `var` at once:
+    /// `out[b]` becomes what [`ExprArena::eval`] returns with `var = b`.
+    /// Returns `false`, leaving `out` unspecified, when `id` reads any
+    /// other input byte. One pass per node over 256 lanes replaces 256
+    /// walks of the tree, which is what the solver's unary filter needs.
+    /// Each node's meaning comes from the helpers `eval` uses; only the
+    /// traversal differs.
+    pub fn eval_sweep(&self, id: ExprId, var: u32, out: &mut [u64; 256]) -> bool {
+        match self.get(id) {
+            Expr::Const { val, .. } => out.fill(val),
+            Expr::Input { idx } => {
+                if idx != var {
+                    return false;
+                }
+                for (lane, b) in out.iter_mut().zip(0u64..) {
+                    *lane = b;
+                }
+            }
+            Expr::ZExt { a, .. } => return self.eval_sweep(a, var, out),
+            Expr::Not(a) => {
+                if !self.eval_sweep(a, var, out) {
+                    return false;
+                }
+                for lane in out.iter_mut() {
+                    *lane = eval_not(*lane);
+                }
+            }
+            Expr::Bin { op, bits, a, b } => {
+                let Some(rhs) = self.eval_sweep_pair(a, b, var, out) else {
+                    return false;
+                };
+                for (x, &y) in out.iter_mut().zip(rhs.iter()) {
+                    *x = eval_bin(op, bits, *x, y);
+                }
+            }
+            Expr::Cmp { op, a, b } => {
+                let Some(rhs) = self.eval_sweep_pair(a, b, var, out) else {
+                    return false;
+                };
+                for (x, &y) in out.iter_mut().zip(rhs.iter()) {
+                    *x = eval_cmp(op, *x, y) as u64;
+                }
+            }
+            Expr::Bool { op, a, b } => {
+                let Some(rhs) = self.eval_sweep_pair(a, b, var, out) else {
+                    return false;
+                };
+                for (x, &y) in out.iter_mut().zip(rhs.iter()) {
+                    *x = eval_bool(op, *x, y);
+                }
+            }
+        }
+        true
+    }
+
+    /// Sweep both operands of a binary node: `a` into `out`, `b` into the
+    /// returned lanes (on the heap, so deep trees cost no stack).
+    fn eval_sweep_pair(
+        &self,
+        a: ExprId,
+        b: ExprId,
+        var: u32,
+        out: &mut [u64; 256],
+    ) -> Option<Box<[u64; 256]>> {
+        let mut rhs = Box::new([0u64; 256]);
+        (self.eval_sweep(a, var, out) && self.eval_sweep(b, var, &mut rhs)).then_some(rhs)
     }
 
     /// Ternary (known-bits) evaluation under a *partial* assignment:
@@ -255,7 +320,10 @@ impl ExprArena {
     /// determined. This lets the solver refute constraints like
     /// `(addr & 0xFF000000) == K` as soon as the single relevant byte is
     /// assigned, instead of enumerating the irrelevant ones.
-    pub fn eval3(&self, id: ExprId, lookup: &dyn Fn(u32) -> Option<u64>) -> Ternary {
+    pub fn eval3<F>(&self, id: ExprId, lookup: &F) -> Ternary
+    where
+        F: Fn(u32) -> Option<u64> + ?Sized,
+    {
         match self.get(id) {
             Expr::Const { bits, val } => Ternary {
                 known: mask(bits),
@@ -610,6 +678,20 @@ pub(crate) fn mix3(tag: u64, a: u64, b: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The value of `Not` over an operand valued `a`.
+fn eval_not(a: u64) -> u64 {
+    (a == 0) as u64
+}
+
+/// The value of a boolean connective over operands valued `a` and `b`.
+fn eval_bool(op: BoolOp, a: u64, b: u64) -> u64 {
+    let t = match op {
+        BoolOp::And => a != 0 && b != 0,
+        BoolOp::Or => a != 0 || b != 0,
+    };
+    t as u64
 }
 
 fn eval_bin(op: BinOp, bits: u8, a: u64, b: u64) -> u64 {

@@ -16,7 +16,11 @@
 
 use crate::ctx::BranchRec;
 use crate::expr::{ExprArena, ExprId};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::rc::Rc;
 
 /// 256-bit set of candidate byte values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,9 +79,20 @@ impl ByteSet {
 
     /// Iterate members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u8> + '_ {
-        (0u16..256)
-            .map(|v| v as u8)
-            .filter(move |&v| self.contains(v))
+        self.words
+            .iter()
+            .zip((0u8..4).map(|i| i * 64))
+            .flat_map(|(&word, base)| {
+                let mut rest = word;
+                std::iter::from_fn(move || {
+                    if rest == 0 {
+                        return None;
+                    }
+                    let bit = rest.trailing_zeros() as u8;
+                    rest &= rest - 1;
+                    Some(base + bit)
+                })
+            })
     }
 }
 
@@ -167,15 +182,69 @@ pub struct Solver {
 /// reuse cannot change any solve outcome.
 #[derive(Debug, Default)]
 pub struct UnaryMemo {
-    map: std::collections::HashMap<u64, MemoEntry>,
+    map: HashMap<u64, MemoEntry, BuildHasherDefault<PremixedHasher>>,
     /// Entries served from the memo (vars + unary set count as one hit).
     pub hits: u64,
 }
 
 #[derive(Debug)]
 struct MemoEntry {
-    vars: Vec<u32>,
+    /// Shared with every query that mentions the constraint.
+    vars: Rc<[u32]>,
     unary: Option<ByteSet>,
+}
+
+impl UnaryMemo {
+    /// The variable list of the constraint keyed `key`, computing and
+    /// recording it on a miss.
+    fn vars(&mut self, key: u64, arena: &ExprArena, e: ExprId) -> Rc<[u32]> {
+        match self.map.entry(key) {
+            Entry::Occupied(entry) => {
+                self.hits += 1;
+                Rc::clone(&entry.get().vars)
+            }
+            Entry::Vacant(slot) => {
+                let vars: Rc<[u32]> = arena.vars(e).into();
+                slot.insert(MemoEntry {
+                    vars: Rc::clone(&vars),
+                    unary: None,
+                });
+                vars
+            }
+        }
+    }
+
+    fn unary(&self, key: u64) -> Option<ByteSet> {
+        self.map.get(&key).and_then(|entry| entry.unary)
+    }
+
+    fn set_unary(&mut self, key: u64, set: ByteSet) {
+        if let Some(entry) = self.map.get_mut(&key) {
+            entry.unary = Some(set);
+        }
+    }
+}
+
+/// Hasher for [`UnaryMemo`] keys, which are already mixed structural
+/// hashes: the key is its own hash.
+#[derive(Debug, Default)]
+struct PremixedHasher(u64);
+
+impl Hasher for PremixedHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `write_u64` is reached for `u64` keys; fold anything else.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ b as u64;
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
+    }
 }
 
 /// A constraint: an expression that must evaluate truthy (`true`) or falsy
@@ -184,15 +253,35 @@ pub type Constraint = (ExprId, bool);
 
 /// Build the constraint system "path prefix holds, branch `k` negated" —
 /// the concolic negation query.
-// dice-lint: allow(panic-freedom): k < path.len() is asserted on entry
 pub fn negation_query(path: &[BranchRec], k: usize) -> Vec<Constraint> {
     assert!(k < path.len());
-    let mut out: Vec<Constraint> = Vec::with_capacity(k + 1);
-    for rec in &path[..k] {
-        out.push((rec.constraint, rec.taken));
-    }
-    let rec = &path[k];
-    out.push((rec.constraint, !rec.taken));
+    let mut taken = taken_constraints(path);
+    with_negation_query(&mut taken, k, <[Constraint]>::to_vec)
+}
+
+/// The as-taken constraints of `path`: the buffer in which
+/// [`with_negation_query`] poses each of the path's negation queries.
+pub(crate) fn taken_constraints(path: &[BranchRec]) -> Vec<Constraint> {
+    path.iter().map(|rec| (rec.constraint, rec.taken)).collect()
+}
+
+/// Run `f` on the negation query for branch `k` (`k < taken.len()`),
+/// posed in place in the path's as-taken constraints `taken`: branch `k`
+/// is negated for the call and restored after it, so no prefix is copied.
+pub(crate) fn with_negation_query<R>(
+    taken: &mut [Constraint],
+    k: usize,
+    f: impl FnOnce(&[Constraint]) -> R,
+) -> R {
+    let query = taken.get_mut(..=k).unwrap_or_default();
+    let flip = |query: &mut [Constraint]| {
+        if let Some((_, want)) = query.last_mut() {
+            *want = !*want;
+        }
+    };
+    flip(query);
+    let out = f(query);
+    flip(query);
     out
 }
 
@@ -258,54 +347,41 @@ impl Solver {
         self.solve_impl(arena, constraints, seed, Some((chashes, memo)))
     }
 
-    // dice-lint: allow(panic-freedom): con_vars and chashes are built per-constraint above and share the constraint index
     fn solve_impl(
         &mut self,
         arena: &ExprArena,
         constraints: &[Constraint],
         seed: &dyn Fn(u32) -> u8,
-        mut memo: Option<(&[u64], &mut UnaryMemo)>,
+        memo: Option<(&[u64], &mut UnaryMemo)>,
     ) -> SolveResult {
         self.stats.queries += 1;
+        let (chashes, mut memo) = match memo {
+            Some((chashes, memo)) => (chashes, Some(memo)),
+            None => (&[][..], None),
+        };
+        let key = |ci: usize| chashes.get(ci).copied();
 
         // Gather variables and classify constraints (memoized by
         // structural hash when available).
-        let mut var_list: Vec<u32> = Vec::new();
-        let mut con_vars: Vec<Vec<u32>> = Vec::with_capacity(constraints.len());
-        for (ci, &(e, _)) in constraints.iter().enumerate() {
-            let vars = match &mut memo {
-                Some((chashes, m)) => match m.map.get(&chashes[ci]) {
-                    Some(entry) => {
-                        m.hits += 1;
-                        entry.vars.clone()
-                    }
-                    None => {
-                        let vars = arena.vars(e);
-                        m.map.insert(
-                            chashes[ci],
-                            MemoEntry {
-                                vars: vars.clone(),
-                                unary: None,
-                            },
-                        );
-                        vars
-                    }
-                },
-                None => arena.vars(e),
-            };
-            for &v in &vars {
-                if !var_list.contains(&v) {
-                    var_list.push(v);
-                }
-            }
-            con_vars.push(vars);
-        }
+        let con_vars: Vec<Rc<[u32]>> = constraints
+            .iter()
+            .enumerate()
+            .map(|(ci, &(e, _))| match (key(ci), memo.as_deref_mut()) {
+                (Some(k), Some(m)) => m.vars(k, arena, e),
+                _ => arena.vars(e).into(),
+            })
+            .collect();
+        let mut var_list: Vec<u32> = con_vars
+            .iter()
+            .flat_map(|vars| vars.iter().copied())
+            .collect();
         var_list.sort_unstable();
+        var_list.dedup();
 
         // Zero-variable constraints are decidable right now; one failing
         // constant constraint refutes the whole conjunction.
-        for (ci, &(e, want)) in constraints.iter().enumerate() {
-            if con_vars[ci].is_empty() {
+        for (&(e, want), vars) in constraints.iter().zip(&con_vars) {
+            if vars.is_empty() {
                 let ok = arena
                     .eval(e, &|_| None)
                     .map(|v| (v != 0) == want)
@@ -325,111 +401,99 @@ impl Solver {
         // Unary filtering. A single-variable constraint's admissible set
         // is an exact pure function of its structure, so the 256-value
         // sweep is memoized across queries (and seeds) when a memo is
-        // supplied.
-        let mut candidates: BTreeMap<u32, ByteSet> =
-            var_list.iter().map(|&v| (v, ByteSet::full())).collect();
-        for (ci, &(e, want)) in constraints.iter().enumerate() {
-            if con_vars[ci].len() == 1 {
-                let v = con_vars[ci][0];
-                let cached = memo
-                    .as_ref()
-                    .and_then(|(chashes, m)| m.map.get(&chashes[ci]))
-                    .and_then(|entry| entry.unary);
-                let ok = match cached {
-                    Some(set) => set,
-                    None => {
-                        let mut ok = ByteSet::empty();
-                        for byte in 0u16..256 {
-                            let val = byte as u8;
-                            let lookup = |idx: u32| -> Option<u64> {
-                                if idx == v {
-                                    Some(val as u64)
-                                } else {
-                                    None
-                                }
-                            };
-                            if let Some(r) = arena.eval(e, &lookup) {
-                                if (r != 0) == want {
-                                    ok.insert(val);
-                                }
-                            }
-                        }
-                        if let Some((chashes, m)) = &mut memo {
-                            if let Some(entry) = m.map.get_mut(&chashes[ci]) {
-                                entry.unary = Some(ok);
-                            }
-                        }
-                        ok
+        // supplied. `candidates` is aligned with `var_list`.
+        let mut candidates: Vec<ByteSet> = vec![ByteSet::full(); var_list.len()];
+        for (ci, (&(e, want), vars)) in constraints.iter().zip(&con_vars).enumerate() {
+            let &[v] = &**vars else {
+                continue;
+            };
+            let cached = key(ci).zip(memo.as_deref()).and_then(|(k, m)| m.unary(k));
+            let ok = cached.unwrap_or_else(|| {
+                let ok = unary_set(arena, e, want, v);
+                if let (Some(k), Some(m)) = (key(ci), memo.as_deref_mut()) {
+                    m.set_unary(k, ok);
+                }
+                ok
+            });
+            // Every constrained var was registered above; a missing
+            // entry means no candidate set to narrow.
+            let Some(set) = var_list
+                .binary_search(&v)
+                .ok()
+                .and_then(|p| candidates.get_mut(p))
+            else {
+                continue;
+            };
+            set.intersect(&ok);
+            if set.is_empty() {
+                self.stats.unsat += 1;
+                return SolveResult::Unsat;
+            }
+        }
+
+        // Multi-var constraints for the search phase, listed per variable
+        // in constraint order.
+        let mut watches: Vec<Vec<Constraint>> = vec![Vec::new(); var_list.len()];
+        for (&c, vars) in constraints.iter().zip(&con_vars) {
+            if vars.len() > 1 {
+                for v in vars.iter() {
+                    if let Some(w) = var_list
+                        .binary_search(v)
+                        .ok()
+                        .and_then(|p| watches.get_mut(p))
+                    {
+                        w.push(c);
                     }
-                };
-                // Every constrained var was registered above; a missing
-                // entry means no candidate set to narrow.
-                let Some(set) = candidates.get_mut(&v) else {
-                    continue;
-                };
-                set.intersect(&ok);
-                if set.is_empty() {
-                    self.stats.unsat += 1;
-                    return SolveResult::Unsat;
                 }
             }
         }
 
-        // Multi-var constraints for the search phase.
-        let multi: Vec<(ExprId, bool, &[u32])> = constraints
-            .iter()
-            .zip(&con_vars)
-            .filter(|(_, vars)| vars.len() > 1)
-            .map(|(&(e, want), vars)| (e, want, vars.as_slice()))
-            .collect();
-
-        if multi.is_empty() {
+        if watches.iter().all(Vec::is_empty) {
             // Unary candidates are exact: pick per-var values, preferring
             // the seed value when it remains admissible.
-            let mut model = BTreeMap::new();
-            for (&v, set) in &candidates {
-                let sv = seed(v);
-                // Empty sets returned Unsat above, so iter() yields a
-                // value; fall back to the seed if that ever changes.
-                let pick = if set.contains(sv) {
-                    sv
-                } else {
-                    set.iter().next().unwrap_or(sv)
-                };
-                model.insert(v, pick);
-            }
+            let model = var_list
+                .iter()
+                .zip(&candidates)
+                .map(|(&v, set)| {
+                    let sv = seed(v);
+                    // Empty sets returned Unsat above, so iter() yields a
+                    // value; fall back to the seed if that ever changes.
+                    let pick = if set.contains(sv) {
+                        sv
+                    } else {
+                        set.iter().next().unwrap_or(sv)
+                    };
+                    (v, pick)
+                })
+                .collect();
             self.stats.sat += 1;
             return SolveResult::Sat(model);
         }
 
         // Order variables: most-constrained (smallest candidate set) first,
-        // then by how many multi-constraints mention them.
-        let mut order: Vec<u32> = var_list.clone();
-        let mentions = |v: u32| {
-            multi
-                .iter()
-                .filter(|(_, _, vars)| vars.contains(&v))
-                .count()
-        };
-        order.sort_by_key(|&v| (candidates[&v].len(), usize::MAX - mentions(v), v));
+        // then by how many multi-constraints mention them, then by id.
+        let mut assignment = Assignment::new(&var_list);
+        let mut order: Vec<SearchVar> = var_list
+            .iter()
+            .zip(candidates)
+            .zip(watches)
+            .map(|((&v, set), watch)| SearchVar {
+                key: (set.len(), Reverse(watch.len()), v),
+                slot: assignment.slot(v),
+                seed: seed(v),
+                set,
+                watch,
+            })
+            .collect();
+        order.sort_unstable_by_key(|sv| sv.key);
 
-        let mut assignment: BTreeMap<u32, u8> = BTreeMap::new();
         let mut steps = 0u64;
-        let ok = self.search(
-            arena,
-            &multi,
-            &order,
-            0,
-            &candidates,
-            &mut assignment,
-            seed,
-            &mut steps,
-        );
+        let ok = self.search(arena, &order, &mut assignment, &mut steps);
         self.stats.steps += steps;
         match ok {
             Some(true) => {
                 self.stats.sat += 1;
-                SolveResult::Sat(assignment)
+                SolveResult::Sat(assignment.model())
             }
             Some(false) => {
                 self.stats.unsat += 1;
@@ -442,74 +506,131 @@ impl Solver {
         }
     }
 
-    /// DFS over candidate values. Returns `Some(true)` on success (model in
-    /// `assignment`), `Some(false)` when exhaustively refuted, `None` on
-    /// budget exhaustion.
-    #[allow(clippy::too_many_arguments)]
-    // dice-lint: allow(panic-freedom): order and candidates are built over the same var set; depth < order.len() is the recursion guard
+    /// DFS over candidate values of `order[0]`, then the rest. Returns
+    /// `Some(true)` on success (model in `assignment`), `Some(false)`
+    /// when exhaustively refuted, `None` on budget exhaustion.
     fn search(
         &self,
         arena: &ExprArena,
-        multi: &[(ExprId, bool, &[u32])],
-        order: &[u32],
-        depth: usize,
-        candidates: &BTreeMap<u32, ByteSet>,
-        assignment: &mut BTreeMap<u32, u8>,
-        seed: &dyn Fn(u32) -> u8,
+        order: &[SearchVar],
+        assignment: &mut Assignment,
         steps: &mut u64,
     ) -> Option<bool> {
-        if depth == order.len() {
+        let Some((var, rest)) = order.split_first() else {
             return Some(true);
-        }
-        let v = order[depth];
-        let set = &candidates[&v];
+        };
         // Try the seed value first to keep models minimal.
-        let sv = seed(v);
+        let sv = var.seed;
         let tries = std::iter::once(sv)
-            .filter(|s| set.contains(*s))
-            .chain(set.iter().filter(move |&x| x != sv));
-        let mut exhausted = true;
+            .filter(|s| var.set.contains(*s))
+            .chain(var.set.iter().filter(move |&x| x != sv));
         for val in tries {
             *steps += 1;
             if *steps > self.budget.max_steps {
                 return None;
             }
-            assignment.insert(v, val);
-            // Ternary (known-bits) propagation: a constraint involving v is
-            // pruned as soon as the assigned bits alone refute it — e.g.
-            // `(addr & 0xFF000000) == K` dies on the first byte, without
-            // enumerating the masked-out ones.
-            let consistent = multi.iter().all(|&(e, want, vars)| {
-                if !vars.contains(&v) {
-                    return true;
-                }
-                let lookup = |idx: u32| -> Option<u64> { assignment.get(&idx).map(|&b| b as u64) };
+            assignment.set(var.slot, Some(val));
+            // Ternary (known-bits) propagation: a constraint involving the
+            // variable is pruned as soon as the assigned bits alone refute
+            // it — e.g. `(addr & 0xFF000000) == K` dies on the first byte,
+            // without enumerating the masked-out ones.
+            let consistent = var.watch.iter().all(|&(e, want)| {
+                let lookup = |idx: u32| assignment.get(idx).map(u64::from);
                 match arena.eval3(e, &lookup).as_bool() {
                     Some(r) => r == want,
                     None => true, // not yet decidable
                 }
             });
             if consistent {
-                match self.search(
-                    arena,
-                    multi,
-                    order,
-                    depth + 1,
-                    candidates,
-                    assignment,
-                    seed,
-                    steps,
-                ) {
+                match self.search(arena, rest, assignment, steps) {
                     Some(true) => return Some(true),
                     Some(false) => {}
                     None => return None,
                 }
             }
-            assignment.remove(&v);
-            let _ = exhausted;
-            exhausted = true;
+            assignment.set(var.slot, None);
         }
         Some(false)
+    }
+}
+
+/// The exact admissible set of a single-variable constraint: all 256
+/// values of `v` swept through `e`. `e` reads only `v`, so the sweep
+/// covers it; were it to read another byte, no value would be admitted.
+fn unary_set(arena: &ExprArena, e: ExprId, want: bool, v: u32) -> ByteSet {
+    let mut ok = ByteSet::empty();
+    let mut lanes = [0u64; 256];
+    if arena.eval_sweep(e, v, &mut lanes) {
+        for (val, r) in (0..=u8::MAX).zip(lanes) {
+            if (r != 0) == want {
+                ok.insert(val);
+            }
+        }
+    }
+    ok
+}
+
+/// One search variable, in search order.
+struct SearchVar {
+    /// Sort key, computed once: candidate-set size, then most
+    /// multi-constraint mentions, then id.
+    key: (u32, Reverse<usize>, u32),
+    /// Where the variable's value lives in the [`Assignment`].
+    slot: usize,
+    /// The seed input's value, tried first.
+    seed: u8,
+    /// Unary-filtered candidate values.
+    set: ByteSet,
+    /// Multi-variable constraints mentioning the variable, in constraint
+    /// order.
+    watch: Vec<Constraint>,
+}
+
+/// The search's partial assignment: one slot per input byte from the
+/// smallest variable to the largest. Variables are input-byte and oracle
+/// indices, so the span is at most the input plus its oracles.
+struct Assignment<'a> {
+    /// The system's variables, ascending.
+    vars: &'a [u32],
+    /// The smallest variable; slot `s` holds byte `lo + s`.
+    lo: u32,
+    vals: Vec<Option<u8>>,
+}
+
+impl<'a> Assignment<'a> {
+    fn new(vars: &'a [u32]) -> Self {
+        let (lo, len) = match (vars.first(), vars.last()) {
+            (Some(&lo), Some(&hi)) => (lo, (hi - lo) as usize + 1),
+            _ => (0, 0),
+        };
+        Assignment {
+            vars,
+            lo,
+            vals: vec![None; len],
+        }
+    }
+
+    /// The slot of variable `idx`; out of range for a non-variable.
+    fn slot(&self, idx: u32) -> usize {
+        idx.wrapping_sub(self.lo) as usize
+    }
+
+    fn get(&self, idx: u32) -> Option<u8> {
+        self.vals.get(self.slot(idx)).copied().flatten()
+    }
+
+    fn set(&mut self, slot: usize, val: Option<u8>) {
+        if let Some(v) = self.vals.get_mut(slot) {
+            *v = val;
+        }
+    }
+
+    /// The assignment as a model over every variable.
+    fn model(&self) -> BTreeMap<u32, u8> {
+        self.vars
+            .iter()
+            .filter_map(|&v| Some((v, self.get(v)?)))
+            .collect()
     }
 }
 
@@ -651,6 +772,28 @@ mod tests {
         let r = s.solve(&a, &[(c, true)], &seed_zero);
         assert_eq!(r, SolveResult::Unknown);
         assert_eq!(s.stats.unknown, 1);
+    }
+
+    #[test]
+    fn far_apart_variables_solve_like_near_ones() {
+        // Variables far apart in the input take the same search, with the
+        // same answer and effort, as adjacent ones.
+        let solve_pair = |far: u32| {
+            let mut a = ExprArena::new();
+            let x = a.input(3);
+            let y = a.input(far);
+            let sum = a.bin(BinOp::Add, 8, x, y);
+            let ten = a.constant(8, 10);
+            let c = a.cmp(CmpOp::Eq, sum, ten);
+            let mut s = Solver::new();
+            let r = s.solve(&a, &[(c, true)], &seed_zero);
+            (r, s.stats.steps)
+        };
+        let (near, near_steps) = solve_pair(4);
+        let (far, far_steps) = solve_pair(4_099);
+        assert_eq!(near, SolveResult::Sat(BTreeMap::from([(3, 0), (4, 10)])));
+        assert_eq!(far, SolveResult::Sat(BTreeMap::from([(3, 0), (4_099, 10)])));
+        assert_eq!(near_steps, far_steps);
     }
 
     #[test]

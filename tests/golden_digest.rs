@@ -38,6 +38,14 @@ fn demo27_smoke_campaign_digest_is_pinned() {
         .run(&mut live)
         .expect("demo27 campaign runs");
     assert!(report.faults.is_empty(), "{:?}", report.faults);
+    // `normalized()` zeroes `perf`, so the digest cannot see how much
+    // solver work the campaign did; pin it here.
+    let p = &report.perf;
+    assert_eq!(
+        (p.solver_queries, p.unary_memo_hits, p.covered_flips_skipped),
+        (1540, 30924, 0),
+        "demo27 solver work drifted"
+    );
     assert_eq!(
         digest(&report),
         "b53c40ecbe5ce4ecfd012ce2ef5876f6aa1c922fa14cb40bfd44524178031d9d",
